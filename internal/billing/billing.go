@@ -200,16 +200,32 @@ func (b QueryBill) ExecTime() time.Duration { return b.EndTime.Sub(b.StartTime) 
 type Ledger struct {
 	mu    sync.RWMutex
 	bills []QueryBill
+	byID  map[string]int // QueryID -> index of its first bill in bills
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger { return &Ledger{} }
+func NewLedger() *Ledger { return &Ledger{byID: make(map[string]int)} }
 
 // Append records a bill.
 func (l *Ledger) Append(b QueryBill) {
 	l.mu.Lock()
+	if _, ok := l.byID[b.QueryID]; !ok {
+		l.byID[b.QueryID] = len(l.bills)
+	}
 	l.bills = append(l.bills, b)
 	l.mu.Unlock()
+}
+
+// Get returns the first bill recorded for a query ID, without copying the
+// ledger.
+func (l *Ledger) Get(id string) (QueryBill, bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	i, ok := l.byID[id]
+	if !ok {
+		return QueryBill{}, false
+	}
+	return l.bills[i], true
 }
 
 // All returns bills ordered by submit time.

@@ -1,6 +1,8 @@
 package billing
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,6 +130,49 @@ func TestLedgerOrderedBySubmitTime(t *testing.T) {
 	all := l.All()
 	if all[0].QueryID != "early" || all[1].QueryID != "late" {
 		t.Fatalf("order wrong: %v %v", all[0].QueryID, all[1].QueryID)
+	}
+}
+
+func TestLedgerGet(t *testing.T) {
+	l := NewLedger()
+	l.Append(mkBill("q1", Immediate, 0, 0, time.Second, 1000, "finished"))
+	l.Append(mkBill("q2", Relaxed, time.Minute, 0, time.Second, 2000, "finished"))
+	l.Append(mkBill("q1", Immediate, 2*time.Minute, 0, time.Second, 3000, "failed"))
+	b, ok := l.Get("q2")
+	if !ok || b.QueryID != "q2" || b.BytesScanned != 2000 {
+		t.Fatalf("Get(q2) = %+v, %v", b, ok)
+	}
+	// The first bill recorded for an ID wins.
+	if b, ok := l.Get("q1"); !ok || b.BytesScanned != 1000 {
+		t.Fatalf("Get(q1) = %+v, %v; want the first bill", b, ok)
+	}
+	if _, ok := l.Get("unknown"); ok {
+		t.Fatalf("Get(unknown) found a bill")
+	}
+}
+
+// Lookups run on result fetches while executing queries append bills.
+// Run with -race.
+func TestLedgerGetConcurrentWithAppend(t *testing.T) {
+	l := NewLedger()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := fmt.Sprintf("q%d-%d", g, i)
+				l.Append(mkBill(id, Immediate, 0, 0, time.Second, int64(i), "finished"))
+				if b, ok := l.Get(id); !ok || b.BytesScanned != int64(i) {
+					t.Errorf("Get(%s) = %+v, %v", id, b, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if l.Len() != 800 {
+		t.Fatalf("Len = %d, want 800", l.Len())
 	}
 }
 

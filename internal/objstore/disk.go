@@ -12,9 +12,11 @@ import (
 )
 
 // Disk is a Store backed by a local directory. Keys map to files under the
-// root, with '/' in keys becoming directory separators. It exists so the
-// REST server can persist tables across restarts; the simulators and tests
-// use Memory.
+// root, with '/' in keys becoming directory separators. Every deployment
+// with a data directory (the REST server, the benchmark) keeps its tables
+// here and serves read-cache misses, footer loads and CF intermediate reads
+// from it; the simulators and most unit tests use Memory. GetRange reads
+// exactly the requested bytes with one positioned read.
 type Disk struct {
 	root string
 	mu   sync.RWMutex
@@ -77,11 +79,33 @@ func (d *Disk) Get(key string) ([]byte, error) {
 
 // GetRange implements Store.
 func (d *Disk) GetRange(key string, off, length int64) ([]byte, error) {
-	data, err := d.Get(key)
+	p, err := d.path(key)
 	if err != nil {
 		return nil, err
 	}
-	return sliceRange(data, off, length, key)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	f, err := os.Open(p)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("objstore: get range %s: %w", key, err)
+	}
+	end, err := rangeEnd(fi.Size(), off, length, key)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, end-off)
+	if _, err := f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("objstore: get range %s: %w", key, err)
+	}
+	return buf, nil
 }
 
 // Head implements Store.

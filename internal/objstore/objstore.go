@@ -159,18 +159,27 @@ func (m *Memory) List(prefix string) ([]ObjectInfo, error) {
 }
 
 func sliceRange(data []byte, off, length int64, key string) ([]byte, error) {
-	size := int64(len(data))
-	if off < 0 || off > size {
-		return nil, fmt.Errorf("objstore: range offset %d out of bounds for %s (size %d)", off, key, size)
-	}
-	end := size
-	if length >= 0 {
-		end = off + length
-		if end > size {
-			return nil, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, end, key, size)
-		}
+	end, err := rangeEnd(int64(len(data)), off, length, key)
+	if err != nil {
+		return nil, err
 	}
 	cp := make([]byte, end-off)
 	copy(cp, data[off:end])
 	return cp, nil
+}
+
+// rangeEnd checks the range [off, off+length) against an object of size
+// bytes and returns its exclusive end. A negative length means "to the end
+// of the object".
+func rangeEnd(size, off, length int64, key string) (int64, error) {
+	if off < 0 || off > size {
+		return 0, fmt.Errorf("objstore: range offset %d out of bounds for %s (size %d)", off, key, size)
+	}
+	if length < 0 {
+		return size, nil
+	}
+	if length > size-off {
+		return 0, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, off+length, key, size)
+	}
+	return off + length, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -19,6 +20,9 @@ func storeSuite(t *testing.T, s Store) {
 	// Missing key behaviours.
 	if _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(missing) err = %v, want ErrNotFound", err)
+	}
+	if _, err := s.GetRange("missing", 0, 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GetRange(missing) err = %v, want ErrNotFound", err)
 	}
 	if _, err := s.Head("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Head(missing) err = %v, want ErrNotFound", err)
@@ -63,6 +67,25 @@ func storeSuite(t *testing.T, s Store) {
 	}
 	if _, err := s.GetRange("db/tbl/file-0.pxl", -1, 2); err == nil {
 		t.Errorf("GetRange negative offset did not error")
+	}
+	size := int64(len(data))
+	for _, length := range []int64{0, -1} {
+		rng, err = s.GetRange("db/tbl/file-0.pxl", size, length)
+		if err != nil || len(rng) != 0 {
+			t.Errorf("GetRange(off=size, length=%d) = %q, %v; want empty, nil", length, rng, err)
+		}
+	}
+	if _, err := s.GetRange("db/tbl/file-0.pxl", size+1, 0); err == nil {
+		t.Errorf("GetRange offset past end did not error")
+	}
+	if rng, err = s.GetRange("db/tbl/file-0.pxl", 0, size); err != nil {
+		t.Fatalf("GetRange whole object: %v", err)
+	}
+	for i := range rng {
+		rng[i] = 0
+	}
+	if got, _ := s.Get("db/tbl/file-0.pxl"); !bytes.Equal(got, data) {
+		t.Errorf("store corrupted by mutating a GetRange result")
 	}
 
 	// Head.
@@ -337,24 +360,81 @@ func TestMeteredCacheCounters(t *testing.T) {
 }
 
 func TestRangeReadProperty(t *testing.T) {
-	s := NewMemory()
 	blob := make([]byte, 1024)
 	for i := range blob {
 		blob[i] = byte(i * 31)
 	}
-	if err := s.Put("blob", blob); err != nil {
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(off, length uint16) bool {
-		o := int64(off) % 1024
-		l := int64(length) % (1024 - o + 1)
-		got, err := s.GetRange("blob", o, l)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, blob[o:o+l])
+	for name, s := range map[string]Store{"memory": NewMemory(), "disk": disk} {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Put("blob", blob); err != nil {
+				t.Fatal(err)
+			}
+			f := func(off, length uint16) bool {
+				o := int64(off) % 1024
+				l := int64(length) % (1024 - o + 1)
+				got, err := s.GetRange("blob", o, l)
+				if err != nil {
+					return false
+				}
+				return bytes.Equal(got, blob[o:o+l])
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+}
+
+// The ranged-read allocation guard and benchmark read blocks of the read
+// cache's default size from a multi-block file.
+const rangeFileSize, rangeBlock = 2 << 20, 256 << 10
+
+func diskRangeFixture(tb testing.TB) *Disk {
+	tb.Helper()
+	d, err := NewDisk(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := d.Put("db/tbl/file-0.pxl", make([]byte, rangeFileSize)); err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// A ranged read from disk must allocate about the range, not the whole
+// file: a whole-file read would allocate 8x the range here.
+func TestDiskGetRangeAllocatesRangeOnly(t *testing.T) {
+	d := diskRangeFixture(t)
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < calls; i++ {
+		if _, err := d.GetRange("db/tbl/file-0.pxl", i*rangeBlock%rangeFileSize, rangeBlock); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 2*rangeBlock {
+		t.Fatalf("Disk.GetRange of %d B allocated %d B per call, want < %d", rangeBlock, perCall, 2*rangeBlock)
+	}
+}
+
+var rangeSink []byte
+
+func BenchmarkDiskGetRange(b *testing.B) {
+	d := diskRangeFixture(b)
+	b.ReportAllocs()
+	b.SetBytes(rangeBlock)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := d.GetRange("db/tbl/file-0.pxl", int64(i)*rangeBlock%rangeFileSize, rangeBlock)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rangeSink = data
 	}
 }

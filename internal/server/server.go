@@ -711,13 +711,10 @@ func (s *Server) resultPayload(q *core.Query) ResultPayload {
 			}
 		}
 	}
-	for _, b := range s.Coord.Ledger().All() {
-		if b.QueryID == q.ID {
-			payload.ListPrice = b.ListPrice
-			payload.ResourceCost = b.ResourceCost
-			payload.BytesScanned = b.BytesScanned
-			break
-		}
+	if b, ok := s.Coord.Ledger().Get(q.ID); ok {
+		payload.ListPrice = b.ListPrice
+		payload.ResourceCost = b.ResourceCost
+		payload.BytesScanned = b.BytesScanned
 	}
 	return payload
 }

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -170,6 +172,51 @@ func TestResultConflictWhileRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = srv
+}
+
+// Fetching a result looks its bill up by query ID, so its cost must not
+// grow with the number of bills the server has written.
+func TestResultPayloadCostIndependentOfLedgerSize(t *testing.T) {
+	ts, srv := newTestServer(t, "")
+	c := rover.NewClient(ts.URL)
+	resp, err := c.Submit("tpch", "SELECT COUNT(*) FROM orders", "immediate", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitFinished(resp.ID, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	q, ok := srv.Coord.Get(resp.ID)
+	if !ok {
+		t.Fatalf("query %s not found", resp.ID)
+	}
+	ledger := srv.Coord.Ledger()
+	fill := func(n int) {
+		for ledger.Len() < n {
+			ledger.Append(billing.QueryBill{QueryID: fmt.Sprintf("filler-%d", ledger.Len())})
+		}
+	}
+	const runs = 20
+	measure := func() (allocs float64, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { srv.ResultPayloadFor(q) })
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	fill(10)
+	allocsSmall, bytesSmall := measure()
+	fill(10000)
+	allocsLarge, bytesLarge := measure()
+	if p := srv.ResultPayloadFor(q); p.ListPrice <= 0 || p.BytesScanned <= 0 {
+		t.Fatalf("bill fields missing from payload: %+v", p)
+	}
+	if allocsLarge != allocsSmall {
+		t.Errorf("resultPayload allocs: %v with 10 bills, %v with 10000", allocsSmall, allocsLarge)
+	}
+	if bytesLarge > 2*bytesSmall+4096 {
+		t.Errorf("resultPayload bytes: %d with 10 bills, %d with 10000", bytesSmall, bytesLarge)
+	}
 }
 
 func TestReportEndpoints(t *testing.T) {
