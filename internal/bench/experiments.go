@@ -256,7 +256,7 @@ func E6PriceTable() Result {
 	cf := cfsim.NewService(clk, cfsim.Config{ColdStart: time.Millisecond})
 	ledger := billing.NewLedger()
 	coord := core.NewCoordinator(clk, core.Config{}, cluster, cf,
-		&core.RealExecutor{Engine: eng, Parallelism: VMParallelism}, ledger)
+		&core.PlannedExecutor{Engine: eng, Parallelism: VMParallelism}, ledger)
 
 	r := Result{
 		ID:      "E6",
@@ -267,9 +267,11 @@ func E6PriceTable() Result {
 	want := map[billing.Level]float64{billing.Immediate: 5, billing.Relaxed: 2, billing.BestEffort: 0.5}
 	ok := true
 	for _, lev := range billing.Levels() {
-		q := coord.Submit("SELECT SUM(l_extendedprice) FROM lineitem", lev, core.RealPayload{
-			DB: "tpch", Select: mustSelect("SELECT SUM(l_extendedprice) FROM lineitem"),
-		})
+		node, err := eng.PlanQuery("tpch", mustSelect("SELECT SUM(l_extendedprice) FROM lineitem"))
+		if err != nil {
+			panic(err)
+		}
+		q := coord.Submit("SELECT SUM(l_extendedprice) FROM lineitem", lev, core.PlanPayload{Node: node})
 		<-q.Done()
 		var bill billing.QueryBill
 		for _, b := range ledger.All() {

@@ -142,12 +142,17 @@ type CFJob interface {
 	// simulation).
 	RunTask(i int, done func(TaskOutcome))
 	// Merge combines worker outputs into the final result after every
-	// task succeeded.
+	// task succeeded, then releases them.
 	Merge(done func(Outcome))
+	// Abort releases whatever the attempts wrote when a task failed past
+	// its retries. The coordinator calls exactly one of Merge and Abort,
+	// and only once every attempt has returned.
+	Abort()
 }
 
-// Executor abstracts query execution so the coordinator schedules real SQL
-// (RealExecutor) and modeled workloads (SimExecutor) identically.
+// Executor abstracts query execution so the coordinator schedules real
+// plans (PlannedExecutor, which runs CF tasks through the engine's attempt,
+// merge and sweep code) and modeled workloads (SimExecutor) identically.
 type Executor interface {
 	// VMRun executes the whole query on one VM slot.
 	VMRun(q *Query, done func(Outcome))
@@ -636,6 +641,7 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, jobMu *sync.Mutex, settled *
 	jobMu.Unlock()
 
 	if jobErr != nil {
+		job.Abort()
 		c.mu.Lock()
 		c.runningCF--
 		c.mu.Unlock()
@@ -644,6 +650,11 @@ func (c *Coordinator) settleCF(q *Query, job CFJob, jobMu *sync.Mutex, settled *
 	}
 	job.Merge(func(out Outcome) {
 		out.Stats.Add(stats)
+		if out.Result != nil {
+			// The result reports the whole query's work, as a VM run's
+			// does: the merge's stats plus the winning tasks'.
+			out.Result.Stats = out.Stats
+		}
 		q.mu.Lock()
 		q.usage.S3Puts += int64(job.NumTasks()) // intermediate writes
 		q.usage.S3Gets += int64(out.Stats.RowGroupsRead)

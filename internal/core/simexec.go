@@ -177,6 +177,9 @@ func (j *simCFJob) Merge(done func(Outcome)) {
 	})
 }
 
+// Abort implements CFJob: a modeled job writes nothing to release.
+func (j *simCFJob) Abort() {}
+
 func simStats(p SimPayload) engine.Stats {
 	return engine.Stats{
 		BytesScanned:  p.Bytes,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/objstore"
 	"repro/internal/sql"
@@ -39,6 +40,27 @@ func TestRecoversFromWorkerStoreErrors(t *testing.T) {
 		if recovered.Stats != clean.Stats {
 			t.Fatalf("%q: recovered stats %+v vs fault-free %+v — failed attempts were billed", q, recovered.Stats, clean.Stats)
 		}
+	}
+	infos, err := e.Store().List(objstore.IntermediateRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 0 {
+		t.Fatalf("orphan intermediates after recovery: %v", infos)
+	}
+}
+
+// TestServingPathRecoversFromWorkerStoreErrors is the same fault plan
+// through the serving path: the scheduler's CF retries, not the engine's,
+// give each task its second attempt, and the result, stats and bill still
+// match serial execution with nothing left behind.
+func TestServingPathRecoversFromWorkerStoreErrors(t *testing.T) {
+	e, dir := fixture(t)
+	proc := processInvoker(dir)
+	proc.FaultFor = failFirstAttempts
+	for _, q := range experimentQueries {
+		res, bill := runServing(t, e, q, core.Config{CFMaxParts: 4, CFTaskRetries: 1}, proc)
+		expectServingMatchesSerial(t, q+" recovered", runSerial(t, e, q), res, bill)
 	}
 	infos, err := e.Store().List(objstore.IntermediateRoot)
 	if err != nil {

@@ -231,23 +231,58 @@ func (e *Engine) runSplitDistributed(ctx context.Context, split *CFSplit, opts D
 	// Winner-only accounting: exactly one response per task survives, so a
 	// retried or duplicated task contributes one attempt's bytes — the same
 	// bytes a fault-free run would bill.
-	var workerStats Stats
 	interms := make([]catalog.FileMeta, n)
 	for i, r := range resps {
 		interms[i] = r.Interm
-		workerStats.Add(r.Stats)
 	}
-	return e.mergeDistributed(ctx, split, interms, workerStats)
+	res, err := e.MergeResults(ctx, split, interms)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range resps {
+		res.Stats.Add(r.Stats)
+	}
+	return res, nil
+}
+
+// RunAttempt runs one attempt of one task of split through inv. It is the
+// single attempt primitive of every CF driver: RunPlanDistributed's
+// per-task supervisor and the serving path's scheduler-driven CF job both
+// call it. The request carries the engine's vectorization setting and asks
+// the worker for spans when ctx carries one; a worker-reported error comes
+// back as the returned error, and a successful worker's spans graft under
+// the ctx span. The attempt writes only its own attempt-numbered key under
+// the query's intermediate prefix.
+func (e *Engine) RunAttempt(ctx context.Context, inv WorkerInvoker, split *CFSplit, task, attempt int) (*WorkerResponse, error) {
+	req, err := NewWorkerRequest(split, task, attempt)
+	if err != nil {
+		return nil, err
+	}
+	span := obs.SpanFrom(ctx)
+	req.Interpreted = e.interp
+	req.Trace = span != nil
+	resp, err := inv.Invoke(ctx, req)
+	if err == nil && resp.Error != "" {
+		err = fmt.Errorf("engine: worker %d attempt %d: %s", task, attempt, resp.Error)
+	}
+	if err != nil {
+		span.SetAttr("error", err.Error())
+		return nil, err
+	}
+	span.Adopt(resp.Spans)
+	resp.Spans = nil
+	return resp, nil
 }
 
 // runTaskAttempts supervises one task: first attempt, retries on failure,
 // and an optional speculative duplicate for stragglers. The first
-// successful attempt wins; remaining in-flight attempts are cancelled on
-// return. Exactly one attempt's response is returned, so its stats are
-// counted once no matter how many attempts ran.
+// successful attempt wins. Exactly one attempt's response is returned, so
+// its stats are counted once no matter how many attempts ran. Every return
+// path cancels the attempts still in flight and waits for them: an attempt
+// that outlived this call could write its intermediate after the caller
+// swept the query's prefix.
 func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, opts DistOptions) (*WorkerResponse, error) {
 	tctx, cancel := context.WithCancel(ctx)
-	defer cancel() // tears down the loser of a speculative race
 	tspan := obs.SpanFrom(ctx)
 
 	type attemptResult struct {
@@ -256,47 +291,38 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 		span *obs.Span
 	}
 	// Buffered for the worst case (all retries plus the speculative
-	// duplicate), so late finishers never block after we've returned.
+	// duplicate), so no attempt ever blocks on its send.
 	ch := make(chan attemptResult, opts.Retries+2)
-	attempts := 0
-	launch := func() error {
-		req, err := NewWorkerRequest(split, task, attempts)
-		if err != nil {
-			return err
-		}
-		req.Interpreted = e.interp
-		req.Trace = tspan != nil
+	attempts, outstanding := 0, 0
+	launch := func() {
+		attempt := attempts
 		attempts++
+		outstanding++
 		distLive.Add(1)
-		// Attempt spans start detached: only attempts that report back are
-		// attached to the task span, so a cancelled straggler's span can
-		// never dangle open past its parent.
-		aspan := tspan.Detached(fmt.Sprintf("attempt:%d", req.Attempt))
+		// Attempt spans start detached: only attempts that report back
+		// before the task settles are attached to the task span, so a
+		// cancelled loser's span never appears in the trace.
+		aspan := tspan.Detached(fmt.Sprintf("attempt:%d", attempt))
 		go func() {
 			defer distLive.Add(-1)
-			resp, err := opts.Invoker.Invoke(tctx, req)
-			if err == nil && resp.Error != "" {
-				err = fmt.Errorf("engine: worker %d attempt %d: %s", req.Task, req.Attempt, resp.Error)
-			}
-			if err != nil {
-				aspan.SetAttr("error", err.Error())
-			}
+			resp, err := e.RunAttempt(obs.ContextWithSpan(tctx, aspan), opts.Invoker, split, task, attempt)
 			aspan.End()
 			ch <- attemptResult{resp, err, aspan}
 		}()
-		return nil
 	}
-	if err := launch(); err != nil {
-		return nil, err
-	}
+	defer func() {
+		cancel()
+		for ; outstanding > 0; outstanding-- {
+			<-ch
+		}
+	}()
+	launch()
 	var speculate <-chan time.Time
 	if opts.SpeculativeAfter > 0 {
 		speculate = time.After(opts.SpeculativeAfter)
 	}
 
-	outstanding := 1
 	budget := opts.Retries
-	var lastErr error
 	for {
 		select {
 		case <-ctx.Done():
@@ -304,22 +330,15 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 		case <-speculate:
 			speculate = nil
 			// Duplicate the straggler; does not consume retry budget.
-			if err := launch(); err == nil {
-				outstanding++
-				obs.DistTaskSpeculativeTotal.Inc()
-				tspan.Event("speculate", map[string]any{"attempt": attempts - 1})
-			}
+			launch()
+			obs.DistTaskSpeculativeTotal.Inc()
+			tspan.Event("speculate", map[string]any{"attempt": attempts - 1})
 		case r := <-ch:
 			outstanding--
 			tspan.Attach(r.span)
 			if r.err == nil {
-				// Winner: its fragment spans (possibly shipped across a
-				// process boundary) graft under the winning attempt.
-				r.span.Adopt(r.resp.Spans)
-				r.resp.Spans = nil
 				return r.resp, nil
 			}
-			lastErr = r.err
 			if budget > 0 && ctx.Err() == nil {
 				budget--
 				obs.DistTaskRetriesTotal.Inc()
@@ -327,10 +346,7 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 					"attempt": attempts,
 					"error":   r.err.Error(),
 				})
-				if err := launch(); err != nil {
-					return nil, err
-				}
-				outstanding++
+				launch()
 			} else if outstanding == 0 {
 				// Retry budget exhausted: every attempt's intermediate key
 				// is about to be swept by the caller's DeletePrefix — name
@@ -346,16 +362,21 @@ func (e *Engine) runTaskAttempts(ctx context.Context, split *CFSplit, task int, 
 					"swept_keys": swept,
 				})
 				return nil, fmt.Errorf("engine: task %d failed after %d attempt(s), sweeping intermediates %v: %w",
-					task, attempts, swept, lastErr)
+					task, attempts, swept, r.err)
 			}
 		}
 	}
 }
 
-// mergeDistributed merges worker intermediates into the final result and
-// sweeps the query's whole intermediate prefix — including orphans written
-// by failed or duplicated attempts that never made it into interms.
-func (e *Engine) mergeDistributed(ctx context.Context, split *CFSplit, interms []catalog.FileMeta, workerStats Stats) (*Result, error) {
+// MergeResults is the coordinator-side merge over worker intermediates,
+// shared by every CF driver. Top-N splits stream the k sorted
+// intermediates through a k-way heap merge instead of re-sorting k·N rows;
+// every other split runs its merge plan over the files in task order. On
+// success and on failure it then sweeps the query's whole intermediate
+// prefix — including orphans of failed or duplicated attempts — so callers
+// must have seen every attempt return first. The returned stats cover the
+// merge alone; callers add the winning attempts' worker stats.
+func (e *Engine) MergeResults(ctx context.Context, split *CFSplit, interms []catalog.FileMeta) (*Result, error) {
 	defer func() {
 		_, _ = objstore.DeletePrefix(e.store, objstore.IntermediatePrefix(split.QueryID))
 	}()
@@ -364,32 +385,21 @@ func (e *Engine) mergeDistributed(ctx context.Context, split *CFSplit, interms [
 
 	stats := &Stats{}
 	mergePlan := split.mergePlan
-	var overrides map[*plan.ScanNode]scanOverride
-	if split.Mode == SplitTopN && split.sortedMerge != nil {
-		// Worker intermediates arrive sorted under mergeKeys, so stream all
-		// k files through a heap merge instead of re-sorting k·N rows on the
-		// coordinator — the pipelined-shuffle-read shape. Each file gets its
-		// own lazy reader; MergeSorted pulls them from one goroutine, so the
-		// shared stats need no synchronization.
+	overrides := map[*plan.ScanNode]scanOverride{
+		split.interm: {files: interms, interm: true},
+	}
+	if split.sortedMerge != nil {
+		// Each file gets its own lazy reader; MergeSorted pulls them from
+		// one goroutine, so the shared stats need no synchronization.
 		mergePlan = split.sortedMerge
 		streams := make([]exec.BatchIterator, len(interms))
 		for i, m := range interms {
-			sc := e.newScanContext(ctx, split.interm, []catalog.FileMeta{m}, stats, true)
-			streams[i] = sc.sequential()
+			streams[i] = e.newScanContext(ctx, split.interm, []catalog.FileMeta{m}, stats, true).sequential()
 		}
 		iter := exec.MergeSorted(streams, split.mergeKeys, split.workerPlan.Schema())
 		overrides = map[*plan.ScanNode]scanOverride{split.interm: {iter: iter}}
-	} else {
-		overrides = map[*plan.ScanNode]scanOverride{
-			split.interm: {files: interms, interm: true},
-		}
 	}
-	op, err := exec.BuildWith(mergePlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, nil),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, nil),
-		Span:         mspan,
-	})
+	op, err := exec.BuildWith(mergePlan, e.buildEnv(ctx, stats, overrides, nil, mspan))
 	if err != nil {
 		return nil, err
 	}
@@ -397,6 +407,5 @@ func (e *Engine) mergeDistributed(ctx context.Context, split *CFSplit, interms [
 	if err != nil {
 		return nil, err
 	}
-	stats.Add(workerStats)
 	return resultFromBatch(mergePlan.Schema(), out, *stats), nil
 }

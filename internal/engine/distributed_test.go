@@ -336,6 +336,50 @@ func TestDistributedSpeculativeDuplicate(t *testing.T) {
 	}
 }
 
+// unrecallableInvoker runs task 0's attempt 0 late and to completion
+// whatever its context says — a worker that cannot be recalled once
+// invoked — and closes finished once that attempt has written its output.
+type unrecallableInvoker struct {
+	engine   *Engine
+	delay    time.Duration
+	finished chan struct{}
+}
+
+func (u *unrecallableInvoker) Invoke(ctx context.Context, req *WorkerRequest) (*WorkerResponse, error) {
+	local := &LocalInvoker{Engine: u.engine}
+	if req.Task != 0 || req.Attempt != 0 {
+		return local.Invoke(ctx, req)
+	}
+	defer close(u.finished)
+	time.Sleep(u.delay)
+	return local.Invoke(context.Background(), req)
+}
+
+// TestDistributedSpeculationLeavesNoLoserOutput: the losing attempt of a
+// speculative race has returned before RunPlanDistributed does, so its
+// output is swept with the rest of the query's intermediates instead of
+// landing after the sweep.
+func TestDistributedSpeculationLeavesNoLoserOutput(t *testing.T) {
+	e := newPartitionedEngine(t, 4, 300)
+	q := "SELECT f_dim, COUNT(*) FROM fact GROUP BY f_dim ORDER BY f_dim"
+	serial := serialResult(t, e, q)
+	inv := &unrecallableInvoker{engine: e, delay: 100 * time.Millisecond, finished: make(chan struct{})}
+	res := runDist(t, e, q, DistOptions{Parts: 2, Invoker: inv, SpeculativeAfter: 10 * time.Millisecond})
+	expectDistMatchesSerial(t, q, serial, res)
+	select {
+	case <-inv.finished:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the straggling attempt never finished")
+	}
+	infos, err := e.Store().List(objstore.IntermediateRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 0 {
+		t.Fatalf("speculative loser left output behind: %v", infos)
+	}
+}
+
 // TestDistributedCancellationNoGoroutineLeak mirrors the scanpipe
 // cancellation test at the coordinator level: cancel a distributed run
 // whose workers are frozen mid-read, and assert both the coordinator

@@ -260,12 +260,7 @@ func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "exec:serial")
 	defer span.End()
 	stats := &Stats{}
-	op, err := exec.BuildWith(node, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, nil, pipelineEligible(node)),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, nil, pipelineEligible(node)),
-		Span:         span,
-	})
+	op, err := exec.BuildWith(node, e.buildEnv(ctx, stats, nil, pipelineEligible(node), span))
 	if err != nil {
 		return nil, err
 	}
@@ -276,6 +271,20 @@ func (e *Engine) RunPlan(ctx context.Context, node plan.Node) (*Result, error) {
 	span.SetAttr("rows_scanned", stats.RowsScanned)
 	span.SetAttr("bytes_scanned", stats.BytesScanned)
 	return resultFromBatch(node.Schema(), out, *stats), nil
+}
+
+// buildEnv is the executor environment every engine path builds its
+// operators with: scans and fused aggregations read through scanFactory
+// with the given overrides and pipeline-eligible scans, expressions follow
+// the engine's vectorization setting, and span (nil = tracing off) gets one
+// child span per operator.
+func (e *Engine) buildEnv(ctx context.Context, stats *Stats, overrides map[*plan.ScanNode]scanOverride, pipelined map[*plan.ScanNode]bool, span *obs.Span) exec.BuildEnv {
+	return exec.BuildEnv{
+		ScanFactory:  e.scanFactory(ctx, stats, overrides, pipelined),
+		Interpreted:  e.interp,
+		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, pipelined),
+		Span:         span,
+	}
 }
 
 // scanFactory builds per-scan batch streams. overrides maps a ScanNode to

@@ -133,12 +133,7 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 	var buildStats Stats
 	if split.buildJoin != nil {
 		bspan := pspan.StartChild("join-build")
-		rightOp, err := exec.BuildWith(split.buildJoin.Right, exec.BuildEnv{
-			ScanFactory:  e.scanFactory(wctx, &buildStats, nil, pipelineEligible(split.buildJoin.Right)),
-			Interpreted:  e.interp,
-			FusedAggScan: e.fusedAggScan(wctx, &buildStats, nil, pipelineEligible(split.buildJoin.Right)),
-			Span:         bspan,
-		})
+		rightOp, err := exec.BuildWith(split.buildJoin.Right, e.buildEnv(wctx, &buildStats, nil, pipelineEligible(split.buildJoin.Right), bspan))
 		if err != nil {
 			bspan.End()
 			return nil, err
@@ -225,12 +220,7 @@ func (e *Engine) runSplitParallel(ctx context.Context, split *CFSplit) (*Result,
 		split.interm: {iter: iter},
 	}
 	mspan := pspan.StartChild("merge")
-	op, err := exec.BuildWith(mergePlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, nil),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, nil),
-		Span:         mspan,
-	})
+	op, err := exec.BuildWith(mergePlan, e.buildEnv(ctx, stats, overrides, nil, mspan))
 	var out *col.Batch
 	if err == nil {
 		out, err = exec.Collect(op)
@@ -273,13 +263,9 @@ func (e *Engine) runWorkerStreaming(ctx context.Context, split *CFSplit, task in
 	overrides := map[*plan.ScanNode]scanOverride{
 		split.partScan: {files: split.Tasks[task].Files},
 	}
-	op, err := exec.BuildWith(split.workerPlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, pipelineEligible(split.workerPlan)),
-		JoinBuilds:   joinBuilds,
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, pipelineEligible(split.workerPlan)),
-		Span:         obs.SpanFrom(ctx),
-	})
+	env := e.buildEnv(ctx, stats, overrides, pipelineEligible(split.workerPlan), obs.SpanFrom(ctx))
+	env.JoinBuilds = joinBuilds
+	op, err := exec.BuildWith(split.workerPlan, env)
 	if err != nil {
 		return err
 	}

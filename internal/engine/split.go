@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/col"
-	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -84,11 +82,10 @@ type CFSplit struct {
 	// across workers (SplitOptions.SharedJoinBuild).
 	buildJoin *plan.JoinNode
 	// sortedMerge/mergeKeys, set for top-N splits, are the merge plan with
-	// the coordinator SortNode elided: the in-process parallel path feeds
-	// it the k worker streams through a streaming k-way merge (the worker
-	// outputs are already sorted under mergeKeys), so the coordinator never
-	// re-sorts the k·N survivors. The CF path keeps mergePlan — its
-	// intermediates arrive as unordered files.
+	// the coordinator SortNode elided: both the in-process parallel path
+	// and the CF merge (MergeResults) feed it the k worker outputs through
+	// a streaming k-way merge (each output is already sorted under
+	// mergeKeys), so the coordinator never re-sorts the k·N survivors.
 	sortedMerge plan.Node
 	mergeKeys   []plan.SortKey
 }
@@ -438,8 +435,8 @@ func (e *Engine) splitTopN(split *CFSplit, root plan.Node, lim *plan.LimitNode, 
 	split.workerPlan = topn
 	split.interm = intermScan(split.QueryID, topn.Schema())
 	split.mergePlan = replaceNode(root, srt.Child, split.interm)
-	// For the in-process path: worker outputs arrive pre-sorted, so the
-	// coordinator can skip the SortNode entirely and k-way-merge instead.
+	// Worker outputs arrive pre-sorted, so the coordinator can skip the
+	// SortNode entirely and k-way-merge instead.
 	split.sortedMerge = replaceNode(root, srt, split.interm)
 	split.mergeKeys = srt.Keys
 }
@@ -530,16 +527,12 @@ func replaceNode(n, old, repl plan.Node) plan.Node {
 	}
 }
 
-// intermKey is the object key of one worker's intermediate output.
-func intermKey(queryID string, part int) string {
-	return fmt.Sprintf("_intermediate/%s/part-%05d.pxl", queryID, part)
-}
-
-// RunWorker executes one worker task: the fragment over the task's file
-// partition, writing the result as an intermediate pixfile. It returns the
-// intermediate's metadata plus the worker's scan statistics. Every failure
-// path returns zero Stats — a failed worker is retried, and its partial
-// bytes must not count toward the query's billing.
+// RunWorker executes attempt 0 of one worker task directly on this engine,
+// with no invoker or wire round trip: the fragment over the task's file
+// partition, writing the result as an intermediate pixfile at the attempt's
+// key. It returns the intermediate's metadata plus the worker's scan
+// statistics. Every failure path returns zero Stats — a failed worker is
+// retried, and its partial bytes must not count toward the query's billing.
 func (e *Engine) RunWorker(ctx context.Context, split *CFSplit, task int) (catalog.FileMeta, Stats, error) {
 	if task < 0 || task >= len(split.Tasks) {
 		return catalog.FileMeta{}, Stats{}, fmt.Errorf("engine: task %d out of range %d", task, len(split.Tasks))
@@ -551,31 +544,5 @@ func (e *Engine) RunWorker(ctx context.Context, split *CFSplit, task int) (catal
 		// (runSplitParallel) can honor a shared-build split.
 		return catalog.FileMeta{}, Stats{}, fmt.Errorf("engine: shared-build join split cannot run as a CF worker")
 	}
-	return e.executeFragment(ctx, split.workerPlan, split.partScan, split.Tasks[task].Files, intermKey(split.QueryID, task))
-}
-
-// MergeResults runs the coordinator-side merge plan over the worker
-// intermediates and cleans them up.
-func (e *Engine) MergeResults(ctx context.Context, split *CFSplit, interms []catalog.FileMeta) (*Result, error) {
-	stats := &Stats{}
-	overrides := map[*plan.ScanNode]scanOverride{
-		split.interm: {files: interms, interm: true},
-	}
-	op, err := exec.BuildWith(split.mergePlan, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, nil),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, nil),
-		Span:         obs.SpanFrom(ctx),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := exec.Collect(op)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range interms {
-		_ = e.store.Delete(m.Key)
-	}
-	return resultFromBatch(split.mergePlan.Schema(), out, *stats), nil
+	return e.executeFragment(ctx, split.workerPlan, split.partScan, split.Tasks[task].Files, intermAttemptKey(split.QueryID, task, 0))
 }

@@ -127,12 +127,7 @@ func (e *Engine) executeFragment(ctx context.Context, node plan.Node, scan *plan
 	overrides := map[*plan.ScanNode]scanOverride{
 		scan: {files: files},
 	}
-	op, err := exec.BuildWith(node, exec.BuildEnv{
-		ScanFactory:  e.scanFactory(ctx, stats, overrides, pipelineEligible(node)),
-		Interpreted:  e.interp,
-		FusedAggScan: e.fusedAggScan(ctx, stats, overrides, pipelineEligible(node)),
-		Span:         obs.SpanFrom(ctx),
-	})
+	op, err := exec.BuildWith(node, e.buildEnv(ctx, stats, overrides, pipelineEligible(node), obs.SpanFrom(ctx)))
 	if err != nil {
 		return catalog.FileMeta{}, Stats{}, err
 	}

@@ -153,14 +153,31 @@ func (d *Disk) Delete(key string) error {
 	return nil
 }
 
-// List implements Store.
+// List implements Store. The walk starts at the directory part of the
+// prefix, so sweeping one query's intermediates visits only that query's
+// files, not the whole data root; a missing directory lists nothing.
+// Leftover ".tmp" files of interrupted Puts are never listed.
 func (d *Disk) List(prefix string) ([]ObjectInfo, error) {
+	start := d.root
+	if i := strings.LastIndex(prefix, "/"); i > 0 {
+		p, err := d.path(prefix[:i])
+		if err != nil {
+			return nil, nil // no valid key lies under an invalid path
+		}
+		start = p
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var infos []ObjectInfo
-	err := filepath.WalkDir(d.root, func(p string, entry fs.DirEntry, err error) error {
-		if err != nil || entry.IsDir() {
+	err := filepath.WalkDir(start, func(p string, entry fs.DirEntry, err error) error {
+		if err != nil {
+			if p == start && errors.Is(err, fs.ErrNotExist) {
+				return fs.SkipAll
+			}
 			return err
+		}
+		if entry.IsDir() {
+			return nil
 		}
 		rel, err := filepath.Rel(d.root, p)
 		if err != nil {

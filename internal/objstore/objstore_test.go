@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,35 @@ func storeSuite(t *testing.T, s Store) {
 		t.Fatalf("List order wrong: %v", infos)
 	}
 
+	// List prefixes that end mid-name, span directories, or name no
+	// existing directory.
+	for _, tc := range []struct {
+		prefix string
+		want   []string
+	}{
+		{"", []string{"db/other/file-9.pxl", "db/tbl/file-0.pxl", "db/tbl/file-1.pxl"}},
+		{"db/", []string{"db/other/file-9.pxl", "db/tbl/file-0.pxl", "db/tbl/file-1.pxl"}},
+		{"db/tbl/file-1", []string{"db/tbl/file-1.pxl"}},
+		{"db/tbl/file-", []string{"db/tbl/file-0.pxl", "db/tbl/file-1.pxl"}},
+		{"db/t", []string{"db/tbl/file-0.pxl", "db/tbl/file-1.pxl"}},
+		{"db/tbl/file-0.pxl/", nil},
+		{"db/missing/", nil},
+		{"nowhere/at/all/", nil},
+		{"nowhere", nil},
+	} {
+		infos, err := s.List(tc.prefix)
+		if err != nil {
+			t.Fatalf("List(%q): %v", tc.prefix, err)
+		}
+		var got []string
+		for _, info := range infos {
+			got = append(got, info.Key)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("List(%q) = %v, want %v", tc.prefix, got, tc.want)
+		}
+	}
+
 	// Delete removes.
 	if err := s.Delete("db/tbl/file-1.pxl"); err != nil {
 		t.Fatal(err)
@@ -136,11 +166,29 @@ func storeSuite(t *testing.T, s Store) {
 func TestMemoryStore(t *testing.T) { storeSuite(t, NewMemory()) }
 
 func TestDiskStore(t *testing.T) {
-	d, err := NewDisk(t.TempDir())
+	root := t.TempDir()
+	d, err := NewDisk(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	storeSuite(t, d)
+
+	// A Put interrupted between write and rename leaves a ".tmp" file;
+	// it is not an object and must never be listed.
+	if err := os.WriteFile(filepath.Join(root, "db", "tbl", "file-2.pxl.tmp"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"", "db/tbl/", "db/tbl/file-2"} {
+		infos, err := d.List(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range infos {
+			if strings.HasSuffix(info.Key, ".tmp") {
+				t.Fatalf("List(%q) returned temp file %s", prefix, info.Key)
+			}
+		}
+	}
 }
 
 func TestMeteredStore(t *testing.T) {

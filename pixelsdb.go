@@ -116,16 +116,21 @@ type Options struct {
 	// CFExecution selects how cloud-function worker fragments execute when
 	// the scheduler routes a query to the CF tier:
 	//
-	//	"" or "inprocess" — worker tasks run as engine goroutines sharing
-	//	the coordinator's store (the default; fastest for an embedded DB).
-	//	"process"         — each worker task runs as a separate
+	//	"" or "inprocess" — an in-process invoker (engine.LocalInvoker):
+	//	each worker attempt is the same serialized WorkerRequest, writing
+	//	the same attempt-numbered intermediate key, executed in this
+	//	process against the coordinator's store (the default; fastest for
+	//	an embedded DB).
+	//	"process"         — each worker attempt runs as a separate
 	//	pixels-worker OS process: the fragment crosses a real process
-	//	boundary as a serialized WorkerRequest and the shuffle goes through
-	//	the object store, exactly like a real FaaS tier. Requires DataDir
-	//	(processes cannot share an in-memory store).
+	//	boundary and the shuffle goes through the object store, exactly
+	//	like a real FaaS tier. Requires DataDir (processes cannot share an
+	//	in-memory store).
 	//
-	// Results, statistics and billed bytes-scanned are identical across
-	// modes; the coordinator retries failed worker attempts in either.
+	// Both modes run the engine's one CF driver: results, statistics and
+	// billed bytes-scanned are identical; the coordinator retries failed
+	// worker attempts in either, and a query's intermediates are swept
+	// whether it succeeds or fails.
 	CFExecution string
 	// CFWorkerCmd is the worker command for CFExecution "process"
 	// (default: "pixels-worker", resolved via PATH).
