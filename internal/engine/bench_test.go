@@ -222,39 +222,63 @@ func BenchmarkSerialTopN(b *testing.B) { benchTopN(b, 1) }
 // BenchmarkParallelTopN measures the worker top-N pushdown at width 4.
 func BenchmarkParallelTopN(b *testing.B) { benchTopN(b, 4) }
 
-// cachedBenchEngine lazily loads one shared fact table behind the
-// CachingStore → Metered → Memory stack, so the cold/warm variants can
-// report physical store GETs per op alongside ns/op.
-var cachedBenchEngine struct {
+// cachedBenchFixture lazily loads one fact table behind the CachingStore
+// → Metered → Memory stack, so the cached variants can report physical
+// store GETs and bytes per op alongside ns/op.
+type cachedBenchFixture struct {
 	once sync.Once
+	cfg  cache.Config
 	e    *Engine
 	met  *objstore.Metered
 	cs   *cache.CachingStore
 }
 
-func benchCachedEngine(b *testing.B) (*Engine, *objstore.Metered, *cache.CachingStore) {
+var (
+	// cachedBench holds the whole fact table (16 files, 8.5 MiB) in
+	// the default 64 MiB cache.
+	cachedBench = &cachedBenchFixture{}
+	// overCapBench caches the same table in 2 MiB, so scans stream
+	// through a full cache and admission refuses their blocks.
+	overCapBench = &cachedBenchFixture{cfg: cache.Config{Capacity: 2 << 20}}
+)
+
+func (f *cachedBenchFixture) get(b *testing.B) (*Engine, *objstore.Metered, *cache.CachingStore) {
 	b.Helper()
-	cachedBenchEngine.once.Do(func() {
+	f.once.Do(func() {
 		met := objstore.NewMetered(objstore.NewMemory())
-		cs := cache.New(met, cache.Config{})
+		cs := cache.New(met, f.cfg)
 		met.AttachCache(cs)
-		cachedBenchEngine.e = newPartitionedEngineOn(b, cs, 16, 50_000)
-		cachedBenchEngine.met = met
-		cachedBenchEngine.cs = cs
+		f.e = newPartitionedEngineOn(b, cs, 16, 50_000)
+		f.met = met
+		f.cs = cs
 	})
-	if cachedBenchEngine.e == nil {
+	if f.e == nil {
 		b.Fatal("shared cached bench engine setup failed in an earlier benchmark")
 	}
-	return cachedBenchEngine.e, cachedBenchEngine.met, cachedBenchEngine.cs
+	return f.e, f.met, f.cs
+}
+
+// reportStoreUsage reports the physical store requests and bytes read per
+// op: cold runs reset the meter every iteration, warm runs accumulate.
+// store-bytes/op over the billed bytes (SetBytes) is the read
+// amplification of the cache.
+func reportStoreUsage(b *testing.B, u objstore.Usage, perOp bool) {
+	gets, bytes := float64(u.Gets), float64(u.BytesRead)
+	if perOp {
+		gets /= float64(b.N)
+		bytes /= float64(b.N)
+	}
+	b.ReportMetric(gets, "store-gets/op")
+	b.ReportMetric(bytes, "store-bytes/op")
 }
 
 // benchScanAggCached runs the same plan as benchScanAgg through the read
 // cache. warm primes the cache once and keeps it; cold flushes before
 // every iteration. Billed bytes-scanned are identical in both modes (and
-// to the cacheless benchmarks) — only the physical store-gets/op and
-// ns/op move.
-func benchScanAggCached(b *testing.B, parallelism int, warm bool) {
-	e, met, cs := benchCachedEngine(b)
+// to the cacheless benchmarks) — only the physical store-gets/op,
+// store-bytes/op and ns/op move.
+func benchScanAggCached(b *testing.B, f *cachedBenchFixture, parallelism int, warm bool) {
+	e, met, cs := f.get(b)
 	ctx := context.Background()
 	stmt, err := sql.Parse("SELECT f_cat, COUNT(*), SUM(f_val), AVG(f_val) FROM fact WHERE f_val > 100 GROUP BY f_cat")
 	if err != nil {
@@ -291,22 +315,23 @@ func benchScanAggCached(b *testing.B, parallelism int, warm bool) {
 	}
 	b.StopTimer()
 	cs.WaitReadAhead()
-	u := met.Usage()
-	gets := float64(u.Gets)
-	if warm {
-		gets /= float64(b.N) // cold resets per iteration; warm accumulates
-	}
-	b.ReportMetric(gets, "store-gets/op")
+	reportStoreUsage(b, met.Usage(), warm)
 	b.SetBytes(bytes / int64(b.N))
 }
 
 // Cold/warm cache variants of the ScanAgg benchmarks: same plan and data,
 // differing only in cache residency. Warm runs must show near-zero
 // store-gets/op and lower ns/op than cold; billed bytes are identical.
-func BenchmarkSerialScanAggColdCache(b *testing.B)   { benchScanAggCached(b, 1, false) }
-func BenchmarkSerialScanAggWarmCache(b *testing.B)   { benchScanAggCached(b, 1, true) }
-func BenchmarkParallelScanAggColdCache(b *testing.B) { benchScanAggCached(b, 0, false) }
-func BenchmarkParallelScanAggWarmCache(b *testing.B) { benchScanAggCached(b, 0, true) }
+func BenchmarkSerialScanAggColdCache(b *testing.B)   { benchScanAggCached(b, cachedBench, 1, false) }
+func BenchmarkSerialScanAggWarmCache(b *testing.B)   { benchScanAggCached(b, cachedBench, 1, true) }
+func BenchmarkParallelScanAggColdCache(b *testing.B) { benchScanAggCached(b, cachedBench, 0, false) }
+func BenchmarkParallelScanAggWarmCache(b *testing.B) { benchScanAggCached(b, cachedBench, 0, true) }
+
+// BenchmarkSerialScanAggOverCapacity repeats the scan through a cache
+// smaller than the table: each iteration streams through a full cache, so
+// store-bytes/op against the billed bytes shows the physical read
+// amplification of refused blocks.
+func BenchmarkSerialScanAggOverCapacity(b *testing.B) { benchScanAggCached(b, overCapBench, 1, true) }
 
 // BenchmarkPixfileWrite measures columnar encoding throughput.
 func BenchmarkPixfileWrite(b *testing.B) {

@@ -168,3 +168,48 @@ func TestCacheCFIntermediates(t *testing.T) {
 		t.Fatalf("CF run read no intermediates — split did not execute")
 	}
 }
+
+// TestCacheOverCapacityScanReadAmplification gates the physical bytes a
+// serial scan reads through a read cache several times smaller than the
+// table. Scan-resistant admission refuses the blocks of a streaming file
+// once its shard is full; those reads must fetch only the column chunks
+// the query asked for, not whole cache blocks. Cache read-ahead and the
+// scan pipeline are off, so the reads arrive in one order and the counts
+// are deterministic. Rows and billed bytes match the uncached
+// engine — billing is counted reader-side.
+func TestCacheOverCapacityScanReadAmplification(t *testing.T) {
+	const capacity = 512 << 10
+	met := objstore.NewMetered(objstore.NewMemory())
+	cs := cache.New(met, cache.Config{Capacity: capacity, BlockSize: 32 << 10, ReadAhead: -1})
+	met.AttachCache(cs)
+	cached := newPartitionedEngineOn(t, cs, 8, 32768)
+	plain := newPartitionedEngine(t, 8, 32768)
+	table := met.Usage().BytesWritten
+	if table < 3*capacity {
+		t.Fatalf("table is %d bytes, want ≥ 3× the %d-byte cache", table, capacity)
+	}
+
+	base := runScanAgg(t, plain, 1)
+	cs.Flush()
+	met.Reset()
+	cached.SetScanPrefetch(-1)
+	res := runScanAgg(t, cached, 1)
+	u := met.Usage()
+	cached.SetScanPrefetch(0)
+	if !sameRows(base, res) || !sameRows(base, runScanAgg(t, cached, 4)) {
+		t.Fatal("over-capacity cached scan diverges from the uncached engine")
+	}
+	if res.Stats.BytesScanned != base.Stats.BytesScanned {
+		t.Fatalf("billed bytes-scanned: cached %d, uncached %d", res.Stats.BytesScanned, base.Stats.BytesScanned)
+	}
+	// Whole-block fetches for refused blocks read 5.82× the billed bytes
+	// (416 gets); exact-range reads bring it to 1.20 (368 gets), the rest
+	// being the blocks each file's first reads fetch before the scan is
+	// classified streaming.
+	const maxAmp = 1.5
+	amp := float64(u.BytesRead) / float64(res.Stats.BytesScanned)
+	if amp > maxAmp {
+		t.Fatalf("store read %d bytes in %d gets for %d billed bytes: amplification %.2f > %.1f",
+			u.BytesRead, u.Gets, res.Stats.BytesScanned, amp, maxAmp)
+	}
+}

@@ -25,6 +25,7 @@ var selBench struct {
 	e    *Engine // plain in-memory store
 	ce   *Engine // behind the read cache
 	cs   *cache.CachingStore
+	met  *objstore.Metered // beneath the read cache
 }
 
 const (
@@ -92,13 +93,15 @@ func selBenchEngines(b *testing.B) (*Engine, *Engine, *cache.CachingStore) {
 			selBench.err = err
 			return
 		}
-		cs := cache.New(objstore.NewMemory(), cache.Config{})
+		met := objstore.NewMetered(objstore.NewMemory())
+		cs := cache.New(met, cache.Config{})
+		met.AttachCache(cs)
 		ce := New(catalog.New(), cs)
 		if err := loadSelTable(ce); err != nil {
 			selBench.err = err
 			return
 		}
-		selBench.e, selBench.ce, selBench.cs = e, ce, cs
+		selBench.e, selBench.ce, selBench.cs, selBench.met = e, ce, cs, met
 	})
 	if selBench.e == nil {
 		b.Fatalf("selective-scan bench fixture failed to load: %v", selBench.err)
@@ -180,6 +183,7 @@ func BenchmarkSelectiveScan50pctInterp(b *testing.B) {
 // (flushed before every iteration) or warm.
 func benchSelectiveScanCached(b *testing.B, query string, warm bool) {
 	_, e, cs := selBenchEngines(b)
+	met := selBench.met
 	ctx := context.Background()
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -202,6 +206,7 @@ func benchSelectiveScanCached(b *testing.B, query string, warm bool) {
 		runOnce()
 		cs.WaitReadAhead()
 	}
+	met.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var bytes int64
@@ -209,12 +214,14 @@ func benchSelectiveScanCached(b *testing.B, query string, warm bool) {
 		if !warm {
 			b.StopTimer()
 			cs.Flush()
+			met.Reset()
 			b.StartTimer()
 		}
 		bytes += runOnce()
 	}
 	b.StopTimer()
 	cs.WaitReadAhead()
+	reportStoreUsage(b, met.Usage(), warm)
 	b.SetBytes(bytes / int64(b.N))
 }
 

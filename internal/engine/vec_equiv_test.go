@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -234,6 +235,47 @@ func TestVectorizedEquivalenceRowOutput(t *testing.T) {
 		}
 		if got.Stats.BytesScanned != base.Stats.BytesScanned {
 			t.Fatalf("%s: billed bytes %d vs %d", q, got.Stats.BytesScanned, base.Stats.BytesScanned)
+		}
+	}
+}
+
+// TestVectorizedEquivalenceGroupedAgg: grouped aggregates whose keys and
+// arguments are expressions (pricing-summary shape: SUM(x*(1-y)), AVG,
+// COUNT(*) over two string keys) are bit-identical vectorized and
+// interpreted, at every execution shape — parallel widths aggregate
+// partials in a different order, so each shape is compared with itself.
+func TestVectorizedEquivalenceGroupedAgg(t *testing.T) {
+	e := newNullHeavyEngine(t)
+	queries := []string{
+		`SELECT n_s, CASE WHEN n_flag THEN 'A' ELSE 'R' END, SUM(n_a), SUM(n_b * (1 - n_a)),
+			AVG(n_b * (1 - n_a)), AVG(n_b), COUNT(*)
+			FROM nh WHERE n_key % 3 <> 0
+			GROUP BY n_s, CASE WHEN n_flag THEN 'A' ELSE 'R' END ORDER BY 1, 2`,
+		`SELECT n_a % 3, MIN(n_b * 2 + n_a), MAX(LENGTH(n_s)), COUNT(n_b)
+			FROM nh GROUP BY n_a % 3 ORDER BY 1`,
+	}
+	for _, q := range queries {
+		e.SetVectorized(false)
+		interp := runVecEquivQuery(t, e, q)
+		e.SetVectorized(true)
+		vecd := runVecEquivQuery(t, e, q)
+		for i := range interp {
+			want, got := interp[i], vecd[i]
+			if len(got.Rows) != len(want.Rows) || len(want.Rows) == 0 {
+				t.Fatalf("%s shape %d: %d rows vs %d", q, i, len(got.Rows), len(want.Rows))
+			}
+			for r := range want.Rows {
+				for c, w := range want.Rows[r] {
+					g := got.Rows[r][c]
+					if g.Null != w.Null || g.Type != w.Type || g.B != w.B || g.I != w.I || g.S != w.S ||
+						math.Float64bits(g.F) != math.Float64bits(w.F) {
+						t.Fatalf("%s shape %d row %d col %d: vectorized %v, interpreted %v", q, i, r, c, g, w)
+					}
+				}
+			}
+			if got.Stats.BytesScanned != want.Stats.BytesScanned {
+				t.Fatalf("%s shape %d: billed bytes %d vs %d", q, i, got.Stats.BytesScanned, want.Stats.BytesScanned)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/col"
 	"repro/internal/plan"
+	"repro/internal/vec"
 )
 
 // HashAggOp implements grouped and global aggregation.
@@ -13,6 +14,12 @@ type HashAggOp struct {
 	node  *plan.AggNode
 	child Operator
 	ev    *Evaluator
+	// keyProgs / argProgs are the compiled group keys and aggregate
+	// arguments (nil entries interpret). One Scratch serves them all: each
+	// program's root vector is freshly allocated, and only interior nodes
+	// alias the scratch.
+	keyProgs, argProgs []*vec.ValueProgram
+	vs                 vec.Scratch
 
 	out  *col.Batch
 	done bool
@@ -20,7 +27,36 @@ type HashAggOp struct {
 
 // NewHashAggOp builds a hash-aggregation operator.
 func NewHashAggOp(node *plan.AggNode, child Operator) *HashAggOp {
-	return &HashAggOp{node: node, child: child, ev: NewEvaluator()}
+	return newHashAggOp(node, child, false)
+}
+
+func newHashAggOp(node *plan.AggNode, child Operator, interpreted bool) *HashAggOp {
+	a := &HashAggOp{node: node, child: child, ev: NewEvaluator()}
+	if interpreted {
+		return a
+	}
+	a.keyProgs = make([]*vec.ValueProgram, len(node.GroupBy))
+	for i, g := range node.GroupBy {
+		a.keyProgs[i], _ = vec.CompileValue(g)
+	}
+	a.argProgs = make([]*vec.ValueProgram, len(node.Aggs))
+	for i := range node.Aggs {
+		if arg := node.Aggs[i].Arg; arg != nil {
+			a.argProgs[i], _ = vec.CompileValue(arg)
+		}
+	}
+	return a
+}
+
+// eval computes one group key or aggregate argument over b, through its
+// compiled program when there is one and the batch matches its layout.
+func (a *HashAggOp) eval(pg *vec.ValueProgram, e plan.BoundExpr, b *col.Batch) (*col.Vector, error) {
+	if pg != nil {
+		if v, ok := pg.Eval(b, &a.vs); ok {
+			return v, nil
+		}
+	}
+	return a.ev.Eval(e, b)
 }
 
 // Schema implements Operator.
@@ -158,7 +194,7 @@ func (a *HashAggOp) Open() error {
 		}
 		// Evaluate group keys and aggregate arguments once per batch.
 		for i, g := range a.node.GroupBy {
-			v, err := a.ev.Eval(g, b)
+			v, err := a.eval(progAt(a.keyProgs, i), g, b)
 			if err != nil {
 				return err
 			}
@@ -169,7 +205,7 @@ func (a *HashAggOp) Open() error {
 			if a.node.Aggs[i].Arg == nil {
 				continue
 			}
-			v, err := a.ev.Eval(a.node.Aggs[i].Arg, b)
+			v, err := a.eval(progAt(a.argProgs, i), a.node.Aggs[i].Arg, b)
 			if err != nil {
 				return err
 			}

@@ -725,10 +725,10 @@ type BuildEnv struct {
 	ScanFactory func(*plan.ScanNode) func() (ScanStream, error)
 	JoinBuilds  map[*plan.JoinNode]*JoinBuild
 	// Interpreted disables the vectorized expression kernels for this
-	// build: scan/filter predicates and projections evaluate through the
-	// row-at-a-time Evaluator only. Results are bit-identical either way —
-	// the flag exists for the interpreted-vs-vectorized ablation and as an
-	// escape hatch.
+	// build: scan/filter predicates, projections, group keys and aggregate
+	// arguments evaluate through the row-at-a-time Evaluator only. Results
+	// are bit-identical either way — the flag exists for the
+	// interpreted-vs-vectorized ablation and as an escape hatch.
 	Interpreted bool
 	// FusedAggScan, when set, may replace a group-free AggNode sitting
 	// directly on a ScanNode with a single fused scan+aggregate operator
@@ -817,7 +817,7 @@ func buildOp(n plan.Node, env BuildEnv) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewHashAggOp(x, child), nil
+		return newHashAggOp(x, child, env.Interpreted), nil
 	case *plan.SortNode:
 		child, err := BuildWith(x.Child, env)
 		if err != nil {

@@ -21,6 +21,8 @@
 // Concurrent readers of the same uncached block are collapsed into a
 // single inner request (single-flight), which matters when parallel
 // workers of one query — or coalesced queries — walk the same files.
+// Single-flight covers cacheable blocks only: a streaming read whose
+// blocks admission would refuse fetches its exact byte range directly.
 //
 // The cache is a physical-I/O optimization only: billed bytes-scanned are
 // accounted reader-side (pixfile.File.BytesRead) and are identical with
@@ -50,7 +52,8 @@ type Config struct {
 	Capacity int64
 	// BlockSize is the fetch/cache granularity for ranged reads (default
 	// 256 KiB). Larger blocks amortize request costs, smaller blocks waste
-	// less on selective reads.
+	// less on selective reads. Reads that scan-resistant admission would
+	// refuse to cache skip the block rounding and fetch the exact range.
 	BlockSize int64
 	// ReadAhead is how many blocks past the current read are prefetched
 	// once sequential access is detected (default 2; negative disables).
@@ -139,7 +142,8 @@ type Stats struct {
 	// ColdAdmits / ScanBypasses account the scan-resistant admission
 	// policy: blocks of a streaming large file inserted at the LRU's cold
 	// end, and blocks not cached at all because inserting them would have
-	// evicted hot data.
+	// evicted hot data. A read whose every block would be bypassed fetches
+	// only its requested range and counts one bypass per block it spans.
 	ColdAdmits, ScanBypasses int64
 }
 
@@ -502,9 +506,8 @@ func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bo
 			return nil, false, fmt.Errorf("objstore: range [%d,%d) out of bounds for %s (size %d)", off, end, key, size)
 		}
 	}
-	out := make([]byte, end-off)
 	if end == off {
-		return out, hit, nil
+		return []byte{}, hit, nil
 	}
 
 	if off >= fm.footerOff {
@@ -513,6 +516,7 @@ func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bo
 		if err != nil {
 			return nil, false, err
 		}
+		out := make([]byte, end-off)
 		copy(out, f[off-fm.footerOff:end-fm.footerOff])
 		hit = hit && cached
 		if cached {
@@ -533,6 +537,20 @@ func (s *CachingStore) GetRangeCached(key string, off, length int64) ([]byte, bo
 		s.mu.Unlock()
 		cold = s.isStreaming(fm, streak)
 	}
+	if cold && s.shardFor(fm.key).refuses(fm.key, first, last, min(B, fm.size-last*B)) {
+		// Admission would refuse every block of the span: fetch exactly
+		// the requested bytes instead of whole blocks that get dropped.
+		out, err := s.inner.GetRange(key, off, end-off)
+		if err != nil {
+			return nil, false, err
+		}
+		s.bytesFetched.Add(int64(len(out)))
+		s.scanBypasses.Add(last - first + 1)
+		s.recordCall(false, int64(len(out)))
+		s.maybeReadAhead(fm, off, end, last)
+		return out, false, nil
+	}
+	out := make([]byte, end-off)
 	for idx := first; idx <= last; idx++ {
 		data, cached, err := s.blockData(fm, idx, true, cold)
 		if err != nil {
@@ -750,6 +768,25 @@ func (sh *shard) atCapacity(blockSize int64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.cur+blockSize > sh.capacity
+}
+
+// refuses reports whether cold admission would turn away every block
+// first..last of key: none is resident and the shard has no room for even
+// the smallest of them (the last, which may be a short tail block). A
+// refused block never changes the shard, so one check covers the span.
+func (sh *shard) refuses(key string, first, last, lastLen int64) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.cur+lastLen <= sh.capacity {
+		return false
+	}
+	m := sh.blocks[key]
+	for idx := first; idx <= last; idx++ {
+		if _, ok := m[idx]; ok {
+			return false
+		}
+	}
+	return true
 }
 
 func (sh *shard) contains(key string, idx int64) bool {

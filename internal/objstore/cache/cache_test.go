@@ -18,8 +18,12 @@ import (
 type countingStore struct {
 	objstore.Store
 	gets, heads atomic.Int64
+	bytes       atomic.Int64  // bytes returned by ranged reads
 	gate        chan struct{} // when non-nil, GetRange blocks until closed
 	entered     chan struct{} // when non-nil, signaled on GetRange entry
+	// fault, when non-nil, serves ranged reads instead of the embedded
+	// store, so a test can inject errors after a clean warm-up.
+	fault objstore.Store
 }
 
 func (c *countingStore) GetRange(key string, off, length int64) ([]byte, error) {
@@ -30,7 +34,13 @@ func (c *countingStore) GetRange(key string, off, length int64) ([]byte, error) 
 		<-c.gate
 	}
 	c.gets.Add(1)
-	return c.Store.GetRange(key, off, length)
+	src := c.Store
+	if c.fault != nil {
+		src = c.fault
+	}
+	data, err := src.GetRange(key, off, length)
+	c.bytes.Add(int64(len(data)))
+	return data, err
 }
 
 func (c *countingStore) Head(key string) (objstore.ObjectInfo, error) {
@@ -712,5 +722,189 @@ func TestStreamingScanSuppressesReadAhead(t *testing.T) {
 	// suppression every one of the ~60 blocks would be prefetched.
 	if issued := st.PrefetchIssued - issuedBefore; issued > 6 {
 		t.Fatalf("streaming scan issued %d prefetches into a full cache", issued)
+	}
+}
+
+// bypassFixture is a one-shard cache of 8 blocks holding a 6-block hot
+// file, plus a 64-block file that a scan streams through it. The scan's
+// first two blocks, read before it is classified streaming, fill the
+// shard; admission then refuses every later block.
+func bypassFixture(t *testing.T) (*CachingStore, *countingStore, func() Stats) {
+	t.Helper()
+	const (
+		blockSz  = 1024
+		footerSp = 16
+	)
+	mem := objstore.NewMemory()
+	if err := mem.Put("hot", blob(6*blockSz+footerSp)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put("big", blob(64*blockSz)); err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingStore{Store: mem}
+	c := New(cs, Config{
+		Capacity: 8 * blockSz, BlockSize: blockSz, Shards: 1,
+		ReadAhead: -1, FooterSpan: footerSp, ScanResistMin: 16 * blockSz,
+	})
+	readHot := func() Stats {
+		t.Helper()
+		for off := int64(0); off < 6*blockSz; off += blockSz {
+			if _, err := c.GetRange("hot", off, blockSz/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Stats()
+	}
+	readHot()
+	return c, cs, readHot
+}
+
+// TestStreamingBypassReadsExactRange: a streaming scan over a full shard
+// reads exactly the bytes it requests from the inner store — one request
+// per read, not one block per spanned block — while the hot file stays
+// resident and ScanBypasses still counts one refused block per block the
+// reads span.
+func TestStreamingBypassReadsExactRange(t *testing.T) {
+	const blockSz = 1024
+	c, cs, readHot := bypassFixture(t)
+	want := blob(64 * blockSz)
+
+	// Projected-column shape: 700-byte reads every 900 bytes, so some
+	// reads straddle a block boundary.
+	const step, length = 900, 700
+	var n, requested, spanned int64
+	var before Stats
+	var gets, bytesIn int64
+	for off := int64(0); off+length <= 60*blockSz; off += step {
+		// The reads up to block 1 build the sequential streak on the block
+		// path and fill the shard; every read past them is streaming and
+		// touches no resident block.
+		measured := off >= 2*blockSz
+		if measured && n == 0 {
+			before, gets, bytesIn = c.Stats(), cs.gets.Load(), cs.bytes.Load()
+		}
+		got, err := c.GetRange("big", off, length)
+		if err != nil || !bytes.Equal(got, want[off:off+length]) {
+			t.Fatalf("read @%d: err %v, data ok %v", off, err, bytes.Equal(got, want[off:off+length]))
+		}
+		if measured {
+			n++
+			requested += length
+			spanned += (off+length-1)/blockSz - off/blockSz + 1
+		}
+	}
+	st := c.Stats()
+	if d := cs.bytes.Load() - bytesIn; d != requested {
+		t.Errorf("inner bytes read = %d for %d requested bytes (%d reads)", d, requested, n)
+	}
+	if d := cs.gets.Load() - gets; d > n {
+		t.Errorf("inner gets = %d for %d reads", d, n)
+	}
+	if d := st.ScanBypasses - before.ScanBypasses; d != spanned {
+		t.Errorf("ScanBypasses = %d, want %d (one per spanned block)", d, spanned)
+	}
+	if d := st.BytesFetched - before.BytesFetched; d != requested {
+		t.Errorf("BytesFetched = %d, want %d", d, requested)
+	}
+	if d := st.Misses - before.Misses; d != n {
+		t.Errorf("misses = %d, want %d", d, n)
+	}
+	if st.ColdAdmits != before.ColdAdmits || st.Evictions != before.Evictions {
+		t.Errorf("bypass reads changed the cache: %+v vs %+v", st, before)
+	}
+	if st.Evictions != 0 {
+		t.Errorf("the scan evicted %d blocks", st.Evictions)
+	}
+	if d := readHot(); d.Misses != st.Misses {
+		t.Fatalf("streaming scan evicted the hot file: %+v vs %+v", d, st)
+	}
+}
+
+// TestStreamingBypassFault: an inner error on a bypass read reaches the
+// caller, and nothing of the failed read is cached.
+func TestStreamingBypassFault(t *testing.T) {
+	const blockSz = 1024
+	c, cs, _ := bypassFixture(t)
+	streamFile(t, c, "big", 4*blockSz, blockSz, 0) // streak ≥ 2: streaming
+	before := c.Stats()
+	fs := objstore.NewFaultStore(cs.Store, objstore.FaultConfig{FailFirst: 1})
+	cs.fault = fs
+	if _, err := c.GetRange("big", 8*blockSz, 100); !errors.Is(err, objstore.ErrInjected) {
+		t.Fatalf("bypass read err = %v, want ErrInjected", err)
+	}
+	if fs.Stats().InjectedErrors != 1 {
+		t.Fatalf("fault not injected: %+v", fs.Stats())
+	}
+	if st := c.Stats(); st.ColdAdmits != before.ColdAdmits || st.BytesFetched != before.BytesFetched ||
+		st.ScanBypasses != before.ScanBypasses {
+		t.Fatalf("failed bypass read changed the cache: %+v vs %+v", st, before)
+	}
+	if c.shardFor("big").contains("big", 8) {
+		t.Fatal("failed bypass read left a resident block")
+	}
+	// The fault is spent: the retry succeeds with the right bytes.
+	got, err := c.GetRange("big", 8*blockSz, 100)
+	if err != nil || !bytes.Equal(got, blob(64 * blockSz)[8*blockSz:8*blockSz+100]) {
+		t.Fatalf("retry: err %v", err)
+	}
+}
+
+// TestStreamingBypassRacesPut runs concurrent streaming readers, whose
+// reads take the bypass path, against writers that rewrite the streamed
+// file and the hot file (race-detector coverage). Every read returns one
+// of the two versions byte for byte, and after the writers stop the new
+// version is served.
+func TestStreamingBypassRacesPut(t *testing.T) {
+	const blockSz = 1024
+	c, _, _ := bypassFixture(t)
+	v1 := blob(64 * blockSz)
+	v2 := bytes.Repeat([]byte{0x5A}, 64*blockSz)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for off := int64(g * 100); off+600 <= 60*blockSz; off += 800 {
+					got, err := c.GetRange("big", off, 600)
+					if err != nil {
+						t.Errorf("read @%d: %v", off, err)
+						return
+					}
+					// A read spanning blocks may mix versions block by
+					// block, as on the block path; no byte may be foreign.
+					for i, b := range got {
+						if b != v1[off+int64(i)] && b != v2[off+int64(i)] {
+							t.Errorf("read @%d: foreign byte at %d", off, i)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			data := v1
+			if i%2 == 1 {
+				data = v2
+			}
+			if err := c.Put("big", data); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+			if err := c.Put("hot", blob(6*blockSz+16)); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	got, err := c.GetRange("big", 5*blockSz, 600)
+	if err != nil || !bytes.Equal(got, v2[5*blockSz:5*blockSz+600]) {
+		t.Fatalf("last write not visible: err %v", err)
 	}
 }
